@@ -6,8 +6,9 @@
 package pack
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"alice/internal/fabric"
 	"alice/internal/techmap"
@@ -112,101 +113,166 @@ func buildBLEs(ln *techmap.LUTNetwork) ([]BLE, error) {
 	return bles, nil
 }
 
-// bleInputs returns the external nodes a BLE reads.
-func bleInputs(ln *techmap.LUTNetwork, b BLE) []int32 {
-	var ins []int32
+// appendBLEInputs appends the external nodes a BLE reads to dst.
+func appendBLEInputs(dst []int32, ln *techmap.LUTNetwork, b BLE) []int32 {
 	if b.LUT >= 0 {
-		ins = append(ins, ln.Nodes[b.LUT].In...)
+		dst = append(dst, ln.Nodes[b.LUT].In...)
 	}
 	if b.FF >= 0 {
 		d := ln.Nodes[b.FF].In[0]
 		if d != b.LUT {
-			ins = append(ins, d)
+			dst = append(dst, d)
 		}
 	}
-	return ins
+	return dst
 }
 
 // clusterBLEs groups BLEs into CLBs greedily by attraction (number of
 // shared nets), respecting the cluster size and external-input bounds.
+// Seeds are taken in order (descending input count, stable); each fill
+// step adds the feasible unplaced BLE of highest gain, the earliest in
+// order on ties.
 //
-// This is the profiled hot loop of fast-mode characterization, so the
-// per-candidate work is O(candidate fan-in) over generation-stamped
-// flat arrays: the growing cluster's input/output sets and its external
-// -input count are maintained incrementally instead of being rebuilt
-// (with map allocations) for every candidate trial. The greedy choices
-// and the resulting CLBs are identical to the straightforward
-// formulation.
+// This is the profiled hot loop of fast-mode characterization, so no
+// fill step scans all BLEs. The cluster's input/output sets are
+// generation-stamped flat arrays with the external-input count kept
+// incrementally, and the cluster keeps a frontier: the unplaced BLEs
+// that share an input with it, read one of its outputs or drive one of
+// its inputs. That is exactly the set of BLEs with a positive gain, and
+// each join adds its gain increments through reader and producer
+// indexes built once, so a fill step only checks the frontier. When no
+// frontier BLE fits, every feasible BLE has gain 0 and the first in
+// order wins; a cursor past the placed prefix of order finds it.
 func clusterBLEs(ln *techmap.LUTNetwork, bles []BLE, arch fabric.Arch) ([]CLB, error) {
 	n := len(bles)
+	nn := len(ln.Nodes)
 	placed := make([]bool, n)
-	// Precompute each BLE's raw input list (with repeats, for gain
-	// scoring) and its deduplicated non-constant list (for external-
-	// input accounting).
-	rawIns := make([][]int32, n)
-	dedupIns := make([][]int32, n)
 	isConst := func(nd int32) bool {
 		k := ln.Nodes[nd].Kind
 		return k == techmap.LConst0 || k == techmap.LConst1
 	}
-	for i := range bles {
-		raw := bleInputs(ln, bles[i])
-		rawIns[i] = raw
-		var ded []int32
-		for _, in := range raw {
-			if isConst(in) {
-				continue
-			}
-			dup := false
-			for _, o := range ded {
-				if o == in {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				ded = append(ded, in)
+	// Each BLE's raw input list (with repeats, for gain scoring) and its
+	// deduplicated non-constant list (for external-input accounting),
+	// carved out of two flat arrays sized so appends never reallocate.
+	size := n
+	for _, b := range bles {
+		if b.LUT >= 0 {
+			size += len(ln.Nodes[b.LUT].In)
+		}
+	}
+	rawFlat := make([]int32, 0, size)
+	dedupFlat := make([]int32, 0, size)
+	rawIns := make([][]int32, n)
+	dedupIns := make([][]int32, n)
+	for i, b := range bles {
+		rs, ds := len(rawFlat), len(dedupFlat)
+		rawFlat = appendBLEInputs(rawFlat, ln, b)
+		for _, in := range rawFlat[rs:] {
+			if !isConst(in) && !slices.Contains(dedupFlat[ds:], in) {
+				dedupFlat = append(dedupFlat, in)
 			}
 		}
-		dedupIns[i] = ded
+		rawIns[i] = rawFlat[rs:len(rawFlat):len(rawFlat)]
+		dedupIns[i] = dedupFlat[ds:len(dedupFlat):len(dedupFlat)]
 	}
 	// Sort seeds by descending input count for better fills.
-	order := make([]int, n)
+	order := make([]int32, n)
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(rawIns[order[a]]) > len(rawIns[order[b]])
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(len(rawIns[b]), len(rawIns[a]))
 	})
+	rank := make([]int32, n)
+	for r, b := range order {
+		rank[b] = int32(r)
+	}
+
+	// readers[readStart[x]:readStart[x+1]] lists the BLEs reading node x
+	// (constants included, as in the gain score); producer[x] is the BLE
+	// whose output is x, or -1.
+	readStart := make([]int32, nn+1)
+	for _, in := range rawFlat {
+		readStart[in+1]++
+	}
+	for x := 0; x < nn; x++ {
+		readStart[x+1] += readStart[x]
+	}
+	readers := make([]int32, len(rawFlat))
+	fill := slices.Clone(readStart[:nn])
+	for b := range bles {
+		for _, in := range rawIns[b] {
+			readers[fill[in]] = int32(b)
+			fill[in]++
+		}
+	}
+	producer := make([]int32, nn)
+	for x := range producer {
+		producer[x] = -1
+	}
+	for b := range bles {
+		producer[bles[b].Out()] = int32(b)
+	}
 
 	// Generation-stamped member sets: inMark marks nodes read by some
 	// member (including constants, matching the gain score), outMark
-	// marks member outputs. extNow counts the distinct non-constant
-	// member inputs not produced inside the cluster.
-	inMark := make([]uint32, len(ln.Nodes))
-	outMark := make([]uint32, len(ln.Nodes))
+	// marks member outputs, seenMark marks inputs already listed by
+	// external. extNow counts the distinct non-constant member inputs
+	// not produced inside the cluster.
+	inMark := make([]uint32, nn)
+	outMark := make([]uint32, nn)
+	seenMark := make([]uint32, nn)
 	var gen uint32
 	extNow := 0
-
-	// join adds a BLE to the current cluster, updating the sets and the
-	// external-input count.
-	join := func(b int) {
+	// gain[b] is unplaced BLE b's attraction to the cluster when
+	// gainMark[b] == gen: one per input it shares with a member, two per
+	// input a member produces, two if it produces a member input. The
+	// frontier lists the BLEs with a positive gain.
+	gain := make([]int32, n)
+	gainMark := make([]uint32, n)
+	var frontier []int32
+	attract := func(b, by int32) {
+		if placed[b] {
+			return
+		}
+		if gainMark[b] != gen {
+			gainMark[b], gain[b] = gen, 0
+			frontier = append(frontier, b)
+		}
+		gain[b] += by
+	}
+	attractReaders := func(x, by int32) {
+		for _, r := range readers[readStart[x]:readStart[x+1]] {
+			attract(r, by)
+		}
+	}
+	// join adds a BLE to the current cluster, updating the sets, the
+	// external-input count, the gains and the frontier.
+	join := func(b int32) {
+		placed[b] = true
 		out := bles[b].Out()
 		if inMark[out] == gen && outMark[out] != gen {
 			extNow-- // an input some member read is now produced inside
 		}
 		outMark[out] = gen
+		attractReaders(out, 2) // direct producer-consumer adjacency is best
 		for _, in := range dedupIns[b] {
 			if inMark[in] != gen && outMark[in] != gen {
 				extNow++
 			}
 		}
 		for _, in := range rawIns[b] {
-			inMark[in] = gen
+			if inMark[in] != gen {
+				inMark[in] = gen
+				attractReaders(in, 1)
+				if p := producer[in]; p >= 0 {
+					attract(p, 2)
+				}
+			}
 		}
 	}
 	// trialExt returns the cluster's external-input count if cand joined.
-	trialExt := func(cand int) int {
+	trialExt := func(cand int32) int {
 		out := bles[cand].Out()
 		delta := 0
 		if inMark[out] == gen && outMark[out] != gen {
@@ -219,40 +285,56 @@ func clusterBLEs(ln *techmap.LUTNetwork, bles []BLE, arch fabric.Arch) ([]CLB, e
 		}
 		return extNow + delta
 	}
-	// gainOf scores candidate-to-member attraction: shared inputs plus
-	// direct producer-consumer adjacency.
-	gainOf := func(cand int) int {
-		gain := 0
-		for _, in := range rawIns[cand] {
-			if inMark[in] == gen {
-				gain++
+	// advance moves cursor past the placed prefix of order.
+	cursor := 0
+	advance := func() {
+		for cursor < n && placed[order[cursor]] {
+			cursor++
+		}
+	}
+	// next returns the best BLE to add to the current cluster, or -1.
+	next := func() int32 {
+		best, bestGain := int32(-1), int32(0)
+		live := frontier[:0]
+		for _, cand := range frontier {
+			if placed[cand] {
+				continue
 			}
-			if outMark[in] == gen {
-				gain += 2 // direct producer-consumer adjacency is best
+			live = append(live, cand)
+			if trialExt(cand) > arch.CLBInputs {
+				continue
+			}
+			if g := gain[cand]; g > bestGain || g == bestGain && rank[cand] < rank[best] {
+				best, bestGain = cand, g
 			}
 		}
-		if inMark[bles[cand].Out()] == gen {
-			gain += 2
+		frontier = live
+		if best >= 0 {
+			return best
 		}
-		return gain
+		advance()
+		for _, cand := range order[cursor:] {
+			if !placed[cand] && trialExt(cand) <= arch.CLBInputs {
+				return cand
+			}
+		}
+		return -1
 	}
 
-	// external recomputes a final cluster's distinct external inputs in
+	// external lists a final cluster's distinct external inputs in
 	// deterministic member order (this order defines the CLB pin
 	// assignment downstream).
-	external := func(members []int) []int32 {
-		inside := make(map[int32]bool)
-		for _, m := range members {
-			inside[bles[m].Out()] = true
-		}
-		seen := make(map[int32]bool)
+	external := func(members []int32) []int32 {
 		var ext []int32
+		if extNow > 0 {
+			ext = make([]int32, 0, extNow)
+		}
 		for _, m := range members {
 			for _, in := range rawIns[m] {
-				if isConst(in) || inside[in] || seen[in] {
+				if isConst(in) || outMark[in] == gen || seenMark[in] == gen {
 					continue
 				}
-				seen[in] = true
+				seenMark[in] = gen
 				ext = append(ext, in)
 			}
 		}
@@ -260,46 +342,36 @@ func clusterBLEs(ln *techmap.LUTNetwork, bles []BLE, arch fabric.Arch) ([]CLB, e
 	}
 
 	var clbs []CLB
-	members := make([]int, 0, arch.BLEsPerCLB)
-	for _, seed := range order {
-		if placed[seed] {
-			continue
+	packed := make([]BLE, 0, n) // backing array of every CLB's BLEs
+	members := make([]int32, 0, arch.BLEsPerCLB)
+	for {
+		advance()
+		if cursor == n {
+			break
 		}
+		seed := order[cursor]
 		gen++
 		extNow = 0
+		frontier = frontier[:0]
 		members = append(members[:0], seed)
-		placed[seed] = true
 		join(seed)
 		if extNow > arch.CLBInputs {
 			return nil, fmt.Errorf("pack: %s: a single BLE needs %d inputs, CLB offers %d",
 				ln.Name, extNow, arch.CLBInputs)
 		}
 		for len(members) < arch.BLEsPerCLB {
-			best, bestGain := -1, -1
-			for _, cand := range order {
-				if placed[cand] {
-					continue
-				}
-				if trialExt(cand) > arch.CLBInputs {
-					continue
-				}
-				if gain := gainOf(cand); gain > bestGain {
-					bestGain, best = gain, cand
-				}
-			}
+			best := next()
 			if best == -1 {
 				break
 			}
 			members = append(members, best)
-			placed[best] = true
 			join(best)
 		}
-		clb := CLB{}
+		start := len(packed)
 		for _, m := range members {
-			clb.BLEs = append(clb.BLEs, bles[m])
+			packed = append(packed, bles[m])
 		}
-		clb.Inputs = external(members)
-		clbs = append(clbs, clb)
+		clbs = append(clbs, CLB{BLEs: packed[start:len(packed):len(packed)], Inputs: external(members)})
 	}
 	return clbs, nil
 }

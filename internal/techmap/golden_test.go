@@ -29,6 +29,49 @@ var goldenK4 = map[string]string{
 	"gcd":     "c3136707497138f2",
 }
 
+// goldenOtherK pins the mapping of every benchmark at the other LUT
+// sizes of the architecture space, captured from the mapper before its
+// cut enumeration was rewritten around leaf signatures and reused
+// scratch buffers. The rewrite must keep every size output-identical.
+var goldenOtherK = map[int]map[string]string{
+	2: {
+		"des3":    "58f89841d4a083ca",
+		"fir":     "cc7556ab9796fb1b",
+		"iir":     "23e42424c08d0328",
+		"sha256":  "90abc0fcb6dac637",
+		"sasc":    "bc8b5443ef5029b9",
+		"usb_phy": "366c73796772436a",
+		"gcd":     "625fa1e1e76f67f4",
+	},
+	3: {
+		"des3":    "26905de40e399aa3",
+		"fir":     "cbf08daf99cc3a3f",
+		"iir":     "e292f85d03ee7775",
+		"sha256":  "6823e0b4a3f0541c",
+		"sasc":    "4a368cb6ee255577",
+		"usb_phy": "5c9c48787f3843ac",
+		"gcd":     "5d0385538ff0e6ba",
+	},
+	5: {
+		"des3":    "1168df00c62e5124",
+		"fir":     "7ca600179119414d",
+		"iir":     "6299e14a170bfa49",
+		"sha256":  "12e39f0c285c9cd5",
+		"sasc":    "e902009345d3fa18",
+		"usb_phy": "d8859f937eeda409",
+		"gcd":     "7362792f4735d347",
+	},
+	6: {
+		"des3":    "4f2cd5c3982180c5",
+		"fir":     "6fca11435816b11a",
+		"iir":     "6d825da2c44b3543",
+		"sha256":  "5cc4b949e8ae9fdf",
+		"sasc":    "4556c643e343f49f",
+		"usb_phy": "6bbb42fb6c6b21ed",
+		"gcd":     "f37e853ccea58c36",
+	},
+}
+
 // fingerprintLUTNetwork canonically hashes the full network structure:
 // node kinds, masks, fanins, port lists and names.
 func fingerprintLUTNetwork(ln *LUTNetwork) string {
@@ -46,7 +89,7 @@ func fingerprintLUTNetwork(ln *LUTNetwork) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-func benchNetlist(t *testing.T, b bench.Benchmark) *netlist.Netlist {
+func benchNetlist(t testing.TB, b bench.Benchmark) *netlist.Netlist {
 	t.Helper()
 	ast, err := verilog.Parse(b.Source())
 	if err != nil {
@@ -85,6 +128,30 @@ func TestGoldenK4Mapping(t *testing.T) {
 			}
 			if fingerprintLUTNetwork(ln4) != got {
 				t.Error("MapK(n, 4) differs from Map(n)")
+			}
+		})
+	}
+}
+
+// TestGoldenMappingOtherK gates that MapK at every LUT size other
+// than 4 maps each benchmark to its pinned network.
+func TestGoldenMappingOtherK(t *testing.T) {
+	for _, b := range bench.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			n := benchNetlist(t, b)
+			for k := MinK; k <= MaxK; k++ {
+				want, ok := goldenOtherK[k][b.Name]
+				if !ok {
+					continue
+				}
+				ln, err := MapK(n, k)
+				if err != nil {
+					t.Fatalf("K=%d: %v", k, err)
+				}
+				if got := fingerprintLUTNetwork(ln); got != want {
+					t.Errorf("K=%d mapping fingerprint = %s, golden %s", k, got, want)
+				}
 			}
 		})
 	}
@@ -195,5 +262,21 @@ func TestLeafPats(t *testing.T) {
 				t.Fatalf("leafPats[%d] bit %d = %d, want %d", i, r, got, want)
 			}
 		}
+	}
+}
+
+// BenchmarkMapK measures mapping the des3 and sha256 netlists at K=4.
+func BenchmarkMapK(b *testing.B) {
+	for _, name := range []string{"des3", "sha256"} {
+		bm, _ := bench.ByName(name)
+		b.Run(name, func(b *testing.B) {
+			n := benchNetlist(b, bm)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := MapK(n, DefaultK); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

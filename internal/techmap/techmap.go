@@ -11,8 +11,10 @@
 package techmap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"alice/internal/netlist"
 )
@@ -166,37 +168,50 @@ func (ln *LUTNetwork) Validate() error {
 
 // cut is a set of at most K leaves, sorted ascending. The array is
 // sized for MaxK; size and the mapper's runtime k bound the live
-// prefix.
+// prefix. sig is the OR of 1<<(leaf&31) over the leaves: its popcount
+// never exceeds the leaf count, and a subset's sig is a subset of the
+// superset's, so it rejects most merges and dominance tests without
+// touching the leaves. A 32-bit sig keeps the struct at 32 bytes.
 type cut struct {
 	leaves [MaxK]int32
+	sig    uint32
 	size   int8
 }
 
-func (c cut) contains(x int32) bool {
-	for i := int8(0); i < c.size; i++ {
-		if c.leaves[i] == x {
-			return true
-		}
-	}
-	return false
+// unitCut returns the trivial cut {id}.
+func unitCut(id int32) cut {
+	return cut{leaves: [MaxK]int32{id}, sig: 1 << uint(id&31), size: 1}
 }
 
-// dominates reports whether c's leaves are a subset of d's.
-func (c cut) dominates(d cut) bool {
-	if c.size > d.size {
+// dominates reports whether c's leaves are a subset of d's, by one
+// merge pass over the two sorted leaf lists.
+func (c *cut) dominates(d *cut) bool {
+	if c.size > d.size || c.sig&^d.sig != 0 {
 		return false
 	}
+	j := int8(0)
 	for i := int8(0); i < c.size; i++ {
-		if !d.contains(c.leaves[i]) {
+		x := c.leaves[i]
+		for j < d.size && d.leaves[j] < x {
+			j++
+		}
+		if j == d.size || d.leaves[j] != x {
 			return false
 		}
+		j++
 	}
 	return true
 }
 
+// mayMerge is the signature filter run before mergeCuts: false proves
+// the union of a and b exceeds k leaves.
+func mayMerge(a, b *cut, k int8) bool {
+	return bits.OnesCount32(a.sig|b.sig) <= int(k)
+}
+
 // mergeCuts unions two cuts; ok is false if the union exceeds k leaves.
-func mergeCuts(a, b cut, k int8) (cut, bool) {
-	var out cut
+func mergeCuts(a, b *cut, k int8) (cut, bool) {
+	out := cut{sig: a.sig | b.sig}
 	i, j := int8(0), int8(0)
 	for i < a.size || j < b.size {
 		var v int32
@@ -311,18 +326,29 @@ func lowerMux(n *netlist.Netlist) (*netlist.Netlist, error) {
 }
 
 type nodeInfo struct {
-	cuts    []cut
-	best    cut
-	depth   int32
-	area    float32
-	mapped  bool // leaf (PI/DFF/const) or chosen LUT root
-	visited bool
+	cuts  []cut
+	best  cut
+	depth int32
+	area  float32
 }
 
 type mapper struct {
 	n    *netlist.Netlist
 	k    int8
 	info []nodeInfo
+
+	// Scratch reused from node to node by enumerateCuts.
+	cand []cut
+	kept []cut
+	keys []cutKey
+}
+
+// cutKey holds the ranking keys of kept cut idx.
+type cutKey struct {
+	depth int32
+	area  float32
+	idx   int32
+	size  int8
 }
 
 func (m *mapper) isLeaf(id int32) bool {
@@ -340,7 +366,7 @@ func (m *mapper) run() (*LUTNetwork, error) {
 		nd := n.Nodes[i]
 		inf := &m.info[i]
 		if m.isLeaf(id) {
-			inf.cuts = []cut{{leaves: [MaxK]int32{id}, size: 1}}
+			inf.cuts = []cut{unitCut(id)}
 			inf.depth = 0
 			continue
 		}
@@ -353,10 +379,13 @@ func (m *mapper) run() (*LUTNetwork, error) {
 	// Backward pass: choose cover from POs and DFF D-inputs.
 	required := make([]bool, len(n.Nodes))
 	var queue []int32
+	luts, lutIns := 0, 0
 	addRoot := func(id int32) {
 		if !m.isLeaf(id) && !required[id] {
 			required[id] = true
 			queue = append(queue, id)
+			luts++
+			lutIns += int(m.info[id].best.size)
 		}
 	}
 	for _, po := range n.POs {
@@ -376,6 +405,8 @@ func (m *mapper) run() (*LUTNetwork, error) {
 
 	// Emit the LUT network in topological order.
 	out := &LUTNetwork{Name: n.Name, K: int(m.k)}
+	out.Nodes = make([]LNode, 0, 2+len(n.PIs)+len(n.DFFs)+luts)
+	insFlat := make([]int32, 0, lutIns) // backs every LUT's input list
 	emit := func(k LKind, mask uint64, ins []int32) int32 {
 		id := int32(len(out.Nodes))
 		out.Nodes = append(out.Nodes, LNode{Kind: k, Mask: mask, In: ins})
@@ -406,14 +437,15 @@ func (m *mapper) run() (*LUTNetwork, error) {
 			continue
 		}
 		best := m.info[id].best
-		var ins []int32
+		start := len(insFlat)
 		for k := int8(0); k < best.size; k++ {
 			leaf := best.leaves[k]
 			if nmap[leaf] == -1 {
 				return nil, fmt.Errorf("techmap: %s: leaf %d of node %d not yet mapped", n.Name, leaf, id)
 			}
-			ins = append(ins, nmap[leaf])
+			insFlat = append(insFlat, nmap[leaf])
 		}
+		ins := insFlat[start:len(insFlat):len(insFlat)]
 		mask, err := m.truthTable(id, best)
 		if err != nil {
 			return nil, fmt.Errorf("techmap: %s: %w", n.Name, err)
@@ -440,96 +472,109 @@ func (m *mapper) run() (*LUTNetwork, error) {
 func (m *mapper) enumerateCuts(id int32) {
 	nd := m.n.Nodes[id]
 	inf := &m.info[id]
-	var candidates []cut
+	k := m.k
+	cand := m.cand[:0]
 	switch nd.Op.Arity() {
 	case 1:
-		for _, c := range m.info[nd.In[0]].cuts {
-			candidates = append(candidates, c)
-		}
+		cand = append(cand, m.info[nd.In[0]].cuts...)
 	case 2:
-		for _, ca := range m.info[nd.In[0]].cuts {
-			for _, cb := range m.info[nd.In[1]].cuts {
-				if c, ok := mergeCuts(ca, cb, m.k); ok {
-					candidates = append(candidates, c)
+		as, bs := m.info[nd.In[0]].cuts, m.info[nd.In[1]].cuts
+		for i := range as {
+			for j := range bs {
+				if !mayMerge(&as[i], &bs[j], k) {
+					continue
+				}
+				if c, ok := mergeCuts(&as[i], &bs[j], k); ok {
+					cand = append(cand, c)
 				}
 			}
 		}
 	case 3:
-		for _, ca := range m.info[nd.In[0]].cuts {
-			for _, cb := range m.info[nd.In[1]].cuts {
-				ab, ok := mergeCuts(ca, cb, m.k)
+		as, bs, cs := m.info[nd.In[0]].cuts, m.info[nd.In[1]].cuts, m.info[nd.In[2]].cuts
+		for i := range as {
+			for j := range bs {
+				if !mayMerge(&as[i], &bs[j], k) {
+					continue
+				}
+				ab, ok := mergeCuts(&as[i], &bs[j], k)
 				if !ok {
 					continue
 				}
-				for _, cc := range m.info[nd.In[2]].cuts {
-					if c, ok := mergeCuts(ab, cc, m.k); ok {
-						candidates = append(candidates, c)
+				for l := range cs {
+					if !mayMerge(&ab, &cs[l], k) {
+						continue
+					}
+					if c, ok := mergeCuts(&ab, &cs[l], k); ok {
+						cand = append(cand, c)
 					}
 				}
 			}
 		}
 	}
+	m.cand = cand
 	// Deduplicate and drop dominated cuts.
-	var cuts []cut
-	for _, c := range candidates {
+	cuts := m.kept[:0]
+	for i := range cand {
+		c := &cand[i]
 		dominated := false
-		for _, d := range cuts {
-			if d.dominates(c) {
+		for j := range cuts {
+			if cuts[j].dominates(c) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
 			// Remove cuts dominated by c.
-			kept := cuts[:0]
-			for _, d := range cuts {
-				if !c.dominates(d) {
-					kept = append(kept, d)
+			w := 0
+			for j := range cuts {
+				if !c.dominates(&cuts[j]) {
+					cuts[w] = cuts[j]
+					w++
 				}
 			}
-			cuts = append(kept, c)
+			cuts = append(cuts[:w], *c)
 		}
 	}
+	m.kept = cuts
 	// Rank by (depth, area flow, size) and keep the best few.
-	type scored struct {
-		c     cut
-		depth int32
-		area  float32
-	}
-	var sc []scored
-	for _, c := range cuts {
+	keys := m.keys[:0]
+	for i := range cuts {
+		c := &cuts[i]
 		var depth int32
 		var area float32 = 1
-		for i := int8(0); i < c.size; i++ {
-			li := &m.info[c.leaves[i]]
+		for l := int8(0); l < c.size; l++ {
+			li := &m.info[c.leaves[l]]
 			if li.depth+1 > depth {
 				depth = li.depth + 1
 			}
 			area += li.area / 2 // crude fanout-sharing estimate
 		}
-		sc = append(sc, scored{c, depth, area})
+		keys = append(keys, cutKey{depth, area, int32(i), c.size})
 	}
-	sort.Slice(sc, func(i, j int) bool {
-		if sc[i].depth != sc[j].depth {
-			return sc[i].depth < sc[j].depth
+	m.keys = keys
+	slices.SortFunc(keys, func(a, b cutKey) int {
+		switch {
+		case a.depth != b.depth:
+			return cmp.Compare(a.depth, b.depth)
+		case a.area < b.area:
+			return -1
+		case a.area > b.area:
+			return 1
 		}
-		if sc[i].area != sc[j].area {
-			return sc[i].area < sc[j].area
-		}
-		return sc[i].c.size < sc[j].c.size
+		return cmp.Compare(a.size, b.size)
 	})
-	if len(sc) > maxCutsPerNode {
-		sc = sc[:maxCutsPerNode]
-	}
-	inf.cuts = inf.cuts[:0]
-	for _, s := range sc {
-		inf.cuts = append(inf.cuts, s.c)
+	if len(keys) > maxCutsPerNode {
+		keys = keys[:maxCutsPerNode]
 	}
 	// Trivial cut keeps deeper nodes mergeable upward.
-	inf.cuts = append(inf.cuts, cut{leaves: [MaxK]int32{id}, size: 1})
-	inf.best = sc[0].c
-	inf.depth = sc[0].depth
-	inf.area = sc[0].area
+	inf.cuts = make([]cut, len(keys)+1)
+	for i, key := range keys {
+		inf.cuts[i] = cuts[key.idx]
+	}
+	inf.cuts[len(keys)] = unitCut(id)
+	inf.best = inf.cuts[0]
+	inf.depth = keys[0].depth
+	inf.area = keys[0].area
 }
 
 // leafPats are the canonical truth-table patterns of up to MaxK = 6
