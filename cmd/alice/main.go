@@ -54,7 +54,7 @@ func main() {
 		summary   = flag.Bool("summary", true, "print the flow summary")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON on stdout (suppresses the summary)")
 		timeout   = flag.Duration("timeout", 0, "abort the flow after this duration (0 = no limit)")
-		parallel  = flag.Int("parallel", 0, "characterization worker-pool width (0 = all CPUs)")
+		parallel  = flag.Int("parallel", 0, "worker-pool width of characterization, selection analyses and implementation (0 = all CPUs)")
 		progress  = flag.Bool("progress", false, "log per-stage progress to stderr")
 		model     = flag.Bool("functional-model", false, "emit functional (programmed) eFPGA models instead of unprogrammed stubs")
 		archLuts  = flag.String("arch-luts", "", "comma-separated LUT sizes to explore (e.g. 3,4,5); empty = the paper's 4")

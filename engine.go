@@ -62,10 +62,12 @@ func WithConfig(cfg *Config) Option {
 	}
 }
 
-// WithParallelism bounds the characterization worker pool and the
-// number of designs RunBatch drives concurrently. Values below 1 mean
-// sequential. The default is runtime.GOMAXPROCS(0); parallel and
-// sequential runs select identical solutions.
+// WithParallelism bounds the worker pool of characterization, of the
+// structural analyses in selection and of the implementation of the
+// winning fabrics, and the number of designs RunBatch drives
+// concurrently. Values below 1 mean sequential. The default is
+// runtime.GOMAXPROCS(0); parallel and sequential runs produce
+// identical output.
 func WithParallelism(n int) Option {
 	return func(e *Engine) {
 		if n < 1 {
@@ -198,16 +200,19 @@ func (e *Engine) Characterize(ctx context.Context, d *ElaboratedDesign, clusters
 }
 
 // Select ranks the characterized fabrics with Eq. 1 and enumerates
-// admissible solutions (Algorithm 3). Characterize once, then Select
-// under several configurations to explore budgets cheaply.
+// admissible solutions (Algorithm 3), running the per-fabric structural
+// analyses in parallel up to the engine's parallelism. Characterize
+// once, then Select under several configurations to explore budgets
+// cheaply.
 func (e *Engine) Select(ctx context.Context, cands []FabricCandidate) (*SelectionResult, error) {
-	return core.SelectEFPGAs(ctx, cands, e.cfg)
+	return core.SelectEFPGAs(ctx, cands, e.cfg, e.parallelism)
 }
 
 // Implement upgrades every fast-mode fabric of a solution to a fully
-// placed, routed, and programmed implementation.
+// placed, routed, and programmed implementation, implementing fabrics
+// in parallel up to the engine's parallelism.
 func (e *Engine) Implement(ctx context.Context, sol *Solution) error {
-	return core.ImplementSolution(ctx, sol, e.cfg)
+	return core.ImplementSolution(ctx, sol, e.cfg, e.parallelism)
 }
 
 // Redact regenerates the design with the solution's clusters replaced
@@ -280,8 +285,9 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []BatchJob) []BatchResult {
 				}
 				opts := e.runOptions()
 				// The batch already fans out across designs; keep each
-				// design's characterization sequential to avoid
-				// oversubscribing the pool.
+				// design's flow (characterization, selection's analyses,
+				// implementation) sequential to avoid oversubscribing
+				// the pool.
 				opts.Parallelism = 1
 				rep, err := core.RunPipeline(ctx, ast, cfg, opts)
 				results[i].Report = rep

@@ -2,7 +2,10 @@ package alice_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +124,167 @@ func TestParallelCharacterizationEquivalence(t *testing.T) {
 	}
 	if seq.FabricSizes != par.FabricSizes {
 		t.Errorf("fabrics differ: seq %s, par %s", seq.FabricSizes, par.FabricSizes)
+	}
+}
+
+// selectionDigest renders what selection and implementation produced:
+// every candidate's structural report (bit classes, effective key
+// bits, removals) and every solution fabric's bitstream, placement
+// cost, route iterations and timing report.
+func selectionDigest(sel *alice.SelectionResult) []string {
+	var out []string
+	for i, c := range sel.Candidates {
+		s := c.Structural
+		if s == nil {
+			out = append(out, fmt.Sprintf("candidate %d: no structural report", i))
+			continue
+		}
+		h := sha256.Sum256([]byte(fmt.Sprintf("%+v", *s)))
+		out = append(out, fmt.Sprintf("candidate %d: effective=%d removals=%d report=%x",
+			i, s.EffectiveKeyBits, len(s.Removals), h[:8]))
+	}
+	for _, fc := range sel.Best.Fabrics {
+		f := fc.Fabric
+		if f.Bits == nil {
+			out = append(out, fmt.Sprintf("fabric %s: not implemented", f.Arch.FullName()))
+			continue
+		}
+		h := sha256.Sum256(f.Bits.B)
+		out = append(out, fmt.Sprintf("fabric %s: bits=%d hash=%x placecost=%v routeiters=%d timing=%+v",
+			f.Arch.FullName(), f.Bits.N, h[:8], f.Placement.Cost, f.Routing.Iterations, *f.Timing))
+	}
+	return out
+}
+
+// stagedSelection drives the Engine stage methods one by one, as a
+// traced benchmark run does, through Implement.
+func stagedSelection(ctx context.Context, t *testing.T, eng *alice.Engine, src string) *alice.SelectionResult {
+	t.Helper()
+	ast, err := alice.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := eng.Elaborate(ctx, ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := eng.Filter(ctx, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters, err := eng.Cluster(ctx, fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := eng.Characterize(ctx, d, clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := eng.Select(ctx, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Implement(ctx, sel.Best); err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
+// TestParallelFlowEquivalence extends the equivalence to the stages
+// after characterization: structural analysis in selection and the
+// implementation of the winning fabrics run on the worker pool, and at
+// parallelism 1 and 8 must produce identical structural reports,
+// bitstreams, placements, routings and timing — through Engine.Run and
+// through the stage methods. Both designs implement two fabrics.
+func TestParallelFlowEquivalence(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"usb_phy", "gcd"} {
+		t.Run(name, func(t *testing.T) {
+			b, _ := alice.BenchmarkByName(name)
+			var runs, staged [][]string
+			for _, par := range []int{1, 8} {
+				cfg := alice.Cfg1()
+				cfg.SelectedOutputs = b.SelectedOutputs
+				cfg.ImplementWinner = true
+				eng := alice.NewEngine(alice.WithConfig(cfg), alice.WithParallelism(par))
+				rep, err := eng.RunSource(ctx, b.Source())
+				if err != nil {
+					t.Fatalf("parallelism %d: %v", par, err)
+				}
+				if rep.Err != nil {
+					t.Fatalf("parallelism %d: %v", par, rep.Err)
+				}
+				if n := len(rep.Solution.Fabrics); n < 2 {
+					t.Fatalf("parallelism %d: %d solution fabrics, want at least 2", par, n)
+				}
+				runs = append(runs, selectionDigest(rep.Selection))
+				staged = append(staged, selectionDigest(stagedSelection(ctx, t, eng, b.Source())))
+			}
+			for _, c := range []struct {
+				path string
+				got  [][]string
+			}{{"Engine.Run", runs}, {"stage methods", staged}} {
+				seq, par := c.got[0], c.got[1]
+				if len(seq) != len(par) {
+					t.Fatalf("%s: %d digest lines sequential, %d parallel", c.path, len(seq), len(par))
+				}
+				for i := range seq {
+					if seq[i] != par[i] {
+						t.Errorf("%s differs:\n  seq %s\n  par %s", c.path, seq[i], par[i])
+					}
+				}
+			}
+			if strings.Join(runs[0], "\n") != strings.Join(staged[0], "\n") {
+				t.Errorf("stage methods and Engine.Run disagree:\n%s\n--\n%s",
+					strings.Join(staged[0], "\n"), strings.Join(runs[0], "\n"))
+			}
+		})
+	}
+}
+
+// TestImplementCancelled: Engine.Implement under an already-cancelled
+// context returns context.Canceled at either pool width, leaves the
+// solution unimplemented, and no implementation goroutine outlives it.
+func TestImplementCancelled(t *testing.T) {
+	b, _ := alice.BenchmarkByName("usb_phy")
+	for _, par := range []int{1, 8} {
+		t.Run(fmt.Sprint("parallelism=", par), func(t *testing.T) {
+			cfg := alice.Cfg1()
+			cfg.SelectedOutputs = b.SelectedOutputs
+			eng := alice.NewEngine(alice.WithConfig(cfg), alice.WithParallelism(par))
+			rep, err := eng.RunSource(context.Background(), b.Source())
+			if err != nil || rep.Err != nil {
+				t.Fatalf("flow: %v / %v", err, rep.Err)
+			}
+			if len(rep.Solution.Fabrics) < 2 {
+				t.Fatalf("%d solution fabrics, want at least 2", len(rep.Solution.Fabrics))
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := eng.Implement(ctx, rep.Solution); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Implement = %v, want context.Canceled", err)
+			}
+			for _, fc := range rep.Solution.Fabrics {
+				if fc.Fabric.Bits != nil {
+					t.Errorf("fabric %s was implemented under a cancelled context", fc.Fabric.Arch.FullName())
+				}
+			}
+			// Pool workers have returned from their slots once Implement
+			// does; allow them a moment to unwind.
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				buf := make([]byte, 1<<20)
+				stacks := string(buf[:runtime.Stack(buf, true)])
+				if !strings.Contains(stacks, "alice/internal/core.fanOut") &&
+					!strings.Contains(stacks, "alice/internal/core.implementWinner") {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("an implementation goroutine outlived Implement:\n%s", stacks)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 

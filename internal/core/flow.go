@@ -104,9 +104,10 @@ type Observer func(Event)
 
 // RunOptions tunes a pipeline run beyond the flow Config.
 type RunOptions struct {
-	// Parallelism bounds the characterization worker pool (and the
-	// concurrent designs of a batch run). Values below 1 mean
-	// sequential.
+	// Parallelism bounds the worker pool of characterization, of the
+	// structural analyses in selection and of fabric implementation
+	// (and the concurrent designs of a batch run). Values below 1 mean
+	// sequential; every width produces the same report.
 	Parallelism int
 	// Observer receives per-stage progress events.
 	Observer Observer
@@ -225,7 +226,7 @@ func RunPipeline(ctx context.Context, ast *verilog.Design, cfg *Config, opts Run
 
 	stageStart(StageSelect)
 	tSel := time.Now()
-	sel, err := SelectEFPGAs(ctx, cands, cfg)
+	sel, err := SelectEFPGAs(ctx, cands, cfg, opts.Parallelism)
 	// SelectTime spans characterization + selection (the paper's phase-3
 	// accounting); the stage event reports selection alone.
 	rep.SelectTime = time.Since(t2)
@@ -250,7 +251,7 @@ func RunPipeline(ctx context.Context, ast *verilog.Design, cfg *Config, opts Run
 	if cfg.ImplementWinner {
 		stageStart(StageImplement)
 		t3 := time.Now()
-		if err := ImplementSolution(ctx, sel.Best, cfg); err != nil {
+		if err := ImplementSolution(ctx, sel.Best, cfg, opts.Parallelism); err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
@@ -293,22 +294,39 @@ func serializeObserver(o Observer) Observer {
 // requires. A configured Fmax floor is re-checked against the exact
 // routed timing: selection admitted the fabric on an estimate, and an
 // implementation that misses the floor anyway is a typed failure, not
-// a silent constraint violation.
-func ImplementSolution(ctx context.Context, sol *Solution, cfg *Config) error {
-	for _, fc := range sol.Fabrics {
-		if fc.Fabric.Bits == nil {
-			if err := implementFabric(ctx, fc, cfg); err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return err
-				}
-				return fmt.Errorf("implementing winning fabric: %w", err)
-			}
+// a silent constraint violation. The fabrics are implemented on up to
+// parallelism workers (values below 1 mean sequential); the error is
+// always that of the first failing fabric in solution order, and once
+// one fails no further fabric is started.
+func ImplementSolution(ctx context.Context, sol *Solution, cfg *Config, parallelism int) error {
+	errs := make([]error, len(sol.Fabrics))
+	fanOut(len(sol.Fabrics), parallelism, func(i int) bool {
+		errs[i] = implementWinner(ctx, sol.Fabrics[i], cfg)
+		return errs[i] == nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		if cfg.FmaxFloorMHz > 0 {
-			if t := fc.Fabric.Timing; t != nil && !t.Estimated && t.FmaxMHz < cfg.FmaxFloorMHz {
-				return fmt.Errorf("implemented fabric %s: routed %.1f MHz < floor %.1f MHz: %w",
-					fc.Fabric.Arch.FullName(), t.FmaxMHz, cfg.FmaxFloorMHz, ErrBelowFmaxFloor)
+	}
+	return nil
+}
+
+// implementWinner implements one fabric of a solution unless it already
+// carries a bitstream, then re-checks the Fmax floor against its timing.
+func implementWinner(ctx context.Context, fc *FabricCandidate, cfg *Config) error {
+	if fc.Fabric.Bits == nil {
+		if err := implementFabric(ctx, fc, cfg); err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return err
 			}
+			return fmt.Errorf("implementing winning fabric: %w", err)
+		}
+	}
+	if cfg.FmaxFloorMHz > 0 {
+		if t := fc.Fabric.Timing; t != nil && !t.Estimated && t.FmaxMHz < cfg.FmaxFloorMHz {
+			return fmt.Errorf("implemented fabric %s: routed %.1f MHz < floor %.1f MHz: %w",
+				fc.Fabric.Arch.FullName(), t.FmaxMHz, cfg.FmaxFloorMHz, ErrBelowFmaxFloor)
 		}
 	}
 	return nil

@@ -66,8 +66,10 @@ type SelectionResult struct {
 // combinations bounded by the eFPGA budget (branch & bound over an
 // index-ordered search tree), and rank the solutions. The enumeration
 // checks ctx every few thousand visited nodes, so very large solution
-// spaces remain cancellable.
-func SelectEFPGAs(ctx context.Context, cands []FabricCandidate, cfg *Config) (*SelectionResult, error) {
+// spaces remain cancellable. The per-fabric structural analyses run on
+// up to parallelism workers (values below 1 mean sequential); any width
+// selects the same solution from the same reports.
+func SelectEFPGAs(ctx context.Context, cands []FabricCandidate, cfg *Config, parallelism int) (*SelectionResult, error) {
 	// Work on a copy of the candidate slice: selection is documented to
 	// be re-runnable over one characterization under many
 	// configurations, so per-config verdicts (the Fmax floor, scores)
@@ -75,22 +77,37 @@ func SelectEFPGAs(ctx context.Context, cands []FabricCandidate, cfg *Config) (*S
 	// from a previous Select over the same copy are re-evaluated here.
 	cands = append([]FabricCandidate(nil), cands...)
 	res := &SelectionResult{Candidates: cands, Direction: cfg.Direction}
+
+	// Oracle-free structural analysis of every programmed fabric: the
+	// report prices the security term, feeds the key floor, and rides to
+	// the flow report. It lives on the candidate copy because cached
+	// fabrics are shared across configurations. The analyses are
+	// independent, so each pool worker writes only its own slot.
+	var todo []int
+	for i := range cands {
+		if cands[i].Fabric != nil && cands[i].Structural == nil {
+			todo = append(todo, i)
+		}
+	}
+	structErr := make([]error, len(cands))
+	fanOut(len(todo), parallelism, func(t int) bool {
+		if ctx.Err() != nil {
+			return false
+		}
+		c := &cands[todo[t]]
+		c.Structural, structErr[todo[t]] = structural.Analyze(c.Fabric.LUTs, structural.Options{Seed: cfg.Seed})
+		return true
+	})
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+
 	floorRejected := 0
 	keyRejected := 0
 	for i := range cands {
 		c := &cands[i]
 		if c.Err != nil && (errors.Is(c.Err, ErrBelowFmaxFloor) || errors.Is(c.Err, ErrBelowKeyFloor)) {
 			c.Err = nil // this config's floors decide below
-		}
-		if c.Fabric == nil {
-			continue
-		}
-		// Oracle-free structural analysis of the programmed fabric: the
-		// report prices the security term, feeds the floor, and rides to
-		// the flow report. It lives on the candidate copy because cached
-		// fabrics are shared across configurations.
-		if c.Structural == nil {
-			c.Structural, _ = structural.Analyze(c.Fabric.LUTs, structural.Options{Seed: cfg.Seed})
 		}
 		if !c.Valid() {
 			continue
@@ -108,7 +125,7 @@ func SelectEFPGAs(ctx context.Context, cands []FabricCandidate, cfg *Config) (*S
 		}
 		if cfg.MinEffectiveKeyBits > 0 {
 			if c.Structural == nil {
-				c.Err = fmt.Errorf("structural analysis unavailable: %w", ErrBelowKeyFloor)
+				c.Err = fmt.Errorf("structural analysis unavailable (%w): %w", structErr[i], ErrBelowKeyFloor)
 				keyRejected++
 			} else if eff := c.Structural.EffectiveKeyBits; eff < cfg.MinEffectiveKeyBits {
 				c.Err = fmt.Errorf("%d effective key bits (of %d) < floor %d: %w",

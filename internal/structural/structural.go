@@ -33,10 +33,12 @@
 package structural
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"alice/internal/techmap"
 )
@@ -115,9 +117,11 @@ func (c Cause) String() string {
 // contributing 2^arity truth-table rows, so Report.Bits[i] describes
 // the same key bit the SAT attack calls bit i.
 type Bit struct {
-	// LUT is the node id owning the bit; Row is its truth-table row.
-	LUT int32
+	// Row is the bit's truth-table row; LUT is the node id owning it.
+	// (Row leads so the record packs into 16 bytes: reports keep one
+	// per key bit.)
 	Row int
+	LUT int32
 	// Class/Cause classify the bit; Value is the bit's programmed value
 	// (the recovered value for leaked bits, informational otherwise).
 	Class Class
@@ -231,47 +235,16 @@ func Analyze(ln *techmap.LUTNetwork, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("structural: %w", err)
 	}
 
-	n := len(ln.Nodes)
-	val := make([]nval, n)
-	info := make([]lutInfo, n)
-
-	// Inference fixpoint (passes 1+2 interleaved): resolve every node,
-	// re-running until no state changes. Constants and aliases only ever
-	// strengthen, so the iteration is monotone; with topologically
-	// ordered LUT inputs one forward pass converges and the second
-	// proves it, but hand-built networks get the full loop.
-	rounds := 0
-	for {
-		rounds++
-		changed := false
-		for i := range ln.Nodes {
-			nd := &ln.Nodes[i]
-			var nv nval
-			switch nd.Kind {
-			case techmap.LConst0:
-				nv = nval{isConst: true, c: false}
-			case techmap.LConst1:
-				nv = nval{isConst: true, c: true}
-			case techmap.LInput, techmap.LFF:
-				nv = nval{net: int32(i)}
-			case techmap.LLUT:
-				li := resolveLUT(ln, int32(i), val)
-				info[i] = li
-				nv = li.state
-			}
-			if val[i] != nv {
-				val[i] = nv
-				changed = true
-			}
-		}
-		if !changed || rounds > n+1 {
-			break
-		}
-	}
-
+	val, info, rounds := infer(ln)
 	observable := markObservable(ln)
 
 	rep := &Report{Iterations: rounds}
+	for i := range ln.Nodes {
+		if nd := &ln.Nodes[i]; nd.Kind == techmap.LLUT {
+			rep.KeyBits += 1 << uint(len(nd.In))
+		}
+	}
+	rep.Bits = make([]Bit, 0, rep.KeyBits)
 	for i := range ln.Nodes {
 		nd := &ln.Nodes[i]
 		if nd.Kind != techmap.LLUT {
@@ -279,7 +252,6 @@ func Analyze(ln *techmap.LUTNetwork, opts Options) (*Report, error) {
 		}
 		li := &info[i]
 		rows := 1 << uint(len(nd.In))
-		rep.KeyBits += rows
 		for r := 0; r < rows; r++ {
 			b := Bit{LUT: int32(i), Row: r, Value: nd.Mask&(1<<uint(r)) != 0}
 			switch {
@@ -315,6 +287,44 @@ func Analyze(ln *techmap.LUTNetwork, opts Options) (*Report, error) {
 		rep.Removals = removalCandidates(ln, val, observable, sigRounds, opts.Seed)
 	}
 	return rep, nil
+}
+
+// infer runs the inference fixpoint (passes 1+2 interleaved): it
+// resolves every node, re-running until no state changes. Constants and
+// aliases only ever strengthen, so the iteration is monotone; with
+// topologically ordered LUT inputs one forward pass converges and the
+// second proves it, but hand-built networks get the full loop.
+func infer(ln *techmap.LUTNetwork) (val []nval, info []lutInfo, rounds int) {
+	n := len(ln.Nodes)
+	val = make([]nval, n)
+	info = make([]lutInfo, n)
+	for {
+		rounds++
+		changed := false
+		for i := range ln.Nodes {
+			nd := &ln.Nodes[i]
+			var nv nval
+			switch nd.Kind {
+			case techmap.LConst0:
+				nv = nval{isConst: true, c: false}
+			case techmap.LConst1:
+				nv = nval{isConst: true, c: true}
+			case techmap.LInput, techmap.LFF:
+				nv = nval{net: int32(i)}
+			case techmap.LLUT:
+				li := resolveLUT(ln, int32(i), val)
+				info[i] = li
+				nv = li.state
+			}
+			if val[i] != nv {
+				val[i] = nv
+				changed = true
+			}
+		}
+		if !changed || rounds > n+1 {
+			return val, info, rounds
+		}
+	}
 }
 
 // resolve chases alias chains to a constant or a representative net.
@@ -470,10 +480,9 @@ func markObservable(ln *techmap.LUTNetwork) []bool {
 // the cone — and are reported for pricing and inspection.
 func removalCandidates(ln *techmap.LUTNetwork, val []nval, observable []bool, rounds int, seed int64) []Removal {
 	n := len(ln.Nodes)
-	sigs := make([][]uint64, n)
-	for i := range sigs {
-		sigs[i] = make([]uint64, rounds)
-	}
+	// Node i's signature words are sigs[i*rounds : (i+1)*rounds].
+	sigs := make([]uint64, n*rounds)
+	sig := func(id int32) []uint64 { return sigs[int(id)*rounds : int(id+1)*rounds] }
 	rng := rand.New(rand.NewSource(seed ^ 0x5ee1))
 	var ibuf [techmap.MaxK]uint64
 	for round := 0; round < rounds; round++ {
@@ -488,11 +497,11 @@ func removalCandidates(ln *techmap.LUTNetwork, val []nval, observable []bool, ro
 			case techmap.LLUT:
 				ins := ibuf[:len(nd.In)]
 				for k, in := range nd.In {
-					ins[k] = sigs[in][round]
+					ins[k] = sigs[int(in)*rounds+round]
 				}
 				w = techmap.EvalMaskWords(nd.Mask, ins)
 			}
-			sigs[i][round] = w
+			sigs[i*rounds+round] = w
 		}
 	}
 
@@ -500,68 +509,89 @@ func removalCandidates(ln *techmap.LUTNetwork, val []nval, observable []bool, ro
 	// nets (two different inputs are different hashes), mask plus child
 	// hashes for LUTs. Equal hashes prove equal cones over equal nets.
 	chash := make([][sha256.Size]byte, n)
-	var hbuf [8]byte
+	hbuf := make([]byte, 0, 1+8+techmap.MaxK*sha256.Size)
 	for i := range ln.Nodes {
 		nd := &ln.Nodes[i]
-		h := sha256.New()
-		h.Write([]byte{byte(nd.Kind)})
+		hbuf = append(hbuf[:0], byte(nd.Kind))
 		switch nd.Kind {
 		case techmap.LInput, techmap.LFF:
-			binary.LittleEndian.PutUint64(hbuf[:], uint64(i))
-			h.Write(hbuf[:])
+			hbuf = binary.LittleEndian.AppendUint64(hbuf, uint64(i))
 		case techmap.LLUT:
-			binary.LittleEndian.PutUint64(hbuf[:], nd.Mask)
-			h.Write(hbuf[:])
+			hbuf = binary.LittleEndian.AppendUint64(hbuf, nd.Mask)
 			for _, in := range nd.In {
-				h.Write(chash[in][:])
+				hbuf = append(hbuf, chash[in][:]...)
 			}
 		}
-		h.Sum(chash[i][:0])
+		chash[i] = sha256.Sum256(hbuf)
 	}
 
-	// First-seen signature index, both polarities. Keys are the packed
-	// signature words; iteration is in node order, so the reported
-	// EquivTo is always the earliest match and the output deterministic.
-	sigKey := func(id int32, inv bool) string {
-		b := make([]byte, 0, rounds*8)
-		for _, w := range sigs[id] {
-			if inv {
-				w = ^w
-			}
-			var wb [8]byte
-			binary.LittleEndian.PutUint64(wb[:], w)
-			b = append(b, wb[:]...)
-		}
-		return string(b)
-	}
-	first := make(map[string]int32)
-	var out []Removal
+	// Signature index over the nets later nodes may match: inputs,
+	// flip-flops, and LUTs that are their own representative (LUTs pass
+	// 2 resolved are matched through their representative instead).
+	// Sorted by signature, then node id, so equal signatures form one
+	// run whose start is the run's key in firstReg.
+	group := make([]int32, n) // node -> start of its signature run; -1 if not indexed
+	var order []int32
 	for i := range ln.Nodes {
-		nd := &ln.Nodes[i]
-		id := int32(i)
-		switch nd.Kind {
-		case techmap.LInput, techmap.LFF, techmap.LLUT:
+		group[i] = -1
+		switch ln.Nodes[i].Kind {
+		case techmap.LInput, techmap.LFF:
+		case techmap.LLUT:
+			if val[i].isConst || val[i].net != int32(i) {
+				continue
+			}
 		default:
 			continue // constant equivalence is pass 2's job
 		}
-		isCand := nd.Kind == techmap.LLUT && observable[i] &&
-			!val[i].isConst && val[i].net == id && !val[i].neg
-		if isCand {
-			if j, ok := first[sigKey(id, false)]; ok {
+		order = append(order, int32(i))
+	}
+	cmpSig := func(id int32, s []uint64) int { return slices.Compare(sig(id), s) }
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmpSig(a, sig(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for p, id := range order {
+		if p > 0 && cmpSig(id, sig(order[p-1])) == 0 {
+			group[id] = group[order[p-1]]
+		} else {
+			group[id] = int32(p)
+		}
+	}
+	// firstReg[run] is the earliest node of the run registered so far.
+	// Nodes are visited in id order, so a lookup sees only earlier nodes
+	// and the reported EquivTo is the earliest match.
+	firstReg := make([]int32, len(order))
+	for p := range firstReg {
+		firstReg[p] = -1
+	}
+	inv := make([]uint64, rounds)
+	var out []Removal
+	for i := range ln.Nodes {
+		id := int32(i)
+		g := group[i]
+		if g < 0 {
+			continue
+		}
+		// Candidates are the observable LUTs in the index: opaque, and
+		// their own representative.
+		if ln.Nodes[i].Kind == techmap.LLUT && observable[i] {
+			if j := firstReg[g]; j >= 0 {
 				out = append(out, Removal{Node: id, EquivTo: j, Structural: chash[id] == chash[j]})
 				continue // one candidate row per node
 			}
-			if j, ok := first[sigKey(id, true)]; ok {
-				out = append(out, Removal{Node: id, EquivTo: j, Inverted: true})
+			for r, w := range sig(id) {
+				inv[r] = ^w
+			}
+			if p, ok := slices.BinarySearchFunc(order, inv, cmpSig); ok && firstReg[p] >= 0 {
+				out = append(out, Removal{Node: id, EquivTo: firstReg[p], Inverted: true})
 				continue
 			}
 		}
-		// Register as a target for later nodes (skip LUTs pass 2 already
-		// resolved: their representative net is registered instead).
-		if nd.Kind != techmap.LLUT || (val[i].net == id && !val[i].isConst) {
-			if _, ok := first[sigKey(id, false)]; !ok {
-				first[sigKey(id, false)] = id
-			}
+		// Register as a target for later nodes.
+		if firstReg[g] < 0 {
+			firstReg[g] = id
 		}
 	}
 	return out

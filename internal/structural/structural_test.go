@@ -1,6 +1,11 @@
 package structural
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"alice/internal/techmap"
@@ -253,6 +258,35 @@ func TestRemovalPairs(t *testing.T) {
 	}
 }
 
+// TestRemovalEarliestTarget pins which earlier net a removal candidate
+// names: the earliest registered one. An unobservable duplicate is
+// registered but never displaces the earlier equal net, and a LUT that
+// matched an earlier net inverted is not registered, so a later copy of
+// it matches that earlier net inverted too.
+func TestRemovalEarliestTarget(t *testing.T) {
+	b := newNet(4)
+	a := b.pi("a")
+	c := b.pi("b")
+	and1 := b.lut(0x8, a, c)
+	and2 := b.lut(0x8, a, c) // unobservable: registered, not a candidate
+	nand1 := b.lut(0x7, a, c)
+	and3 := b.lut(0x8, a, c)
+	nand2 := b.lut(0x7, a, c)
+	b.po("y1", and1)
+	b.po("y2", nand1)
+	b.po("y3", and3)
+	b.po("y4", nand2)
+	rep := analyze(t, b.ln)
+	want := []Removal{
+		{Node: nand1, EquivTo: and1, Inverted: true},
+		{Node: and3, EquivTo: and1, Structural: true},
+		{Node: nand2, EquivTo: and1, Inverted: true},
+	}
+	if !slices.Equal(rep.Removals, want) {
+		t.Errorf("Removals = %+v, want %+v (and2 = %d)", rep.Removals, want, and2)
+	}
+}
+
 // TestAnalyzeRejectsInvalid covers the error paths.
 func TestAnalyzeRejectsInvalid(t *testing.T) {
 	if _, err := Analyze(nil, Options{}); err == nil {
@@ -319,5 +353,162 @@ func checkLeakedValues(t *testing.T, ln *techmap.LUTNetwork, rep *Report) {
 	fk := rep.FixedKey()
 	if len(fk) != rep.LeakedBits+rep.DeadBits {
 		t.Fatalf("FixedKey has %d entries, want %d", len(fk), rep.LeakedBits+rep.DeadBits)
+	}
+}
+
+// removalCandidatesReference is the removal pass as first written: one
+// signature slice per node, a streaming SHA-256 per cone hash, and a
+// first-seen map keyed by the packed signature words. The rewrite must
+// report exactly what it reports.
+func removalCandidatesReference(ln *techmap.LUTNetwork, val []nval, observable []bool, rounds int, seed int64) []Removal {
+	n := len(ln.Nodes)
+	sigs := make([][]uint64, n)
+	for i := range sigs {
+		sigs[i] = make([]uint64, rounds)
+	}
+	rng := rand.New(rand.NewSource(seed ^ 0x5ee1))
+	var ibuf [techmap.MaxK]uint64
+	for round := 0; round < rounds; round++ {
+		for i := range ln.Nodes {
+			nd := &ln.Nodes[i]
+			var w uint64
+			switch nd.Kind {
+			case techmap.LConst1:
+				w = ^uint64(0)
+			case techmap.LInput, techmap.LFF:
+				w = rng.Uint64()
+			case techmap.LLUT:
+				ins := ibuf[:len(nd.In)]
+				for k, in := range nd.In {
+					ins[k] = sigs[in][round]
+				}
+				w = techmap.EvalMaskWords(nd.Mask, ins)
+			}
+			sigs[i][round] = w
+		}
+	}
+	chash := make([][sha256.Size]byte, n)
+	var hbuf [8]byte
+	for i := range ln.Nodes {
+		nd := &ln.Nodes[i]
+		h := sha256.New()
+		h.Write([]byte{byte(nd.Kind)})
+		switch nd.Kind {
+		case techmap.LInput, techmap.LFF:
+			binary.LittleEndian.PutUint64(hbuf[:], uint64(i))
+			h.Write(hbuf[:])
+		case techmap.LLUT:
+			binary.LittleEndian.PutUint64(hbuf[:], nd.Mask)
+			h.Write(hbuf[:])
+			for _, in := range nd.In {
+				h.Write(chash[in][:])
+			}
+		}
+		h.Sum(chash[i][:0])
+	}
+	sigKey := func(id int32, inv bool) string {
+		b := make([]byte, 0, rounds*8)
+		for _, w := range sigs[id] {
+			if inv {
+				w = ^w
+			}
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return string(b)
+	}
+	first := make(map[string]int32)
+	var out []Removal
+	for i := range ln.Nodes {
+		nd := &ln.Nodes[i]
+		id := int32(i)
+		switch nd.Kind {
+		case techmap.LInput, techmap.LFF, techmap.LLUT:
+		default:
+			continue
+		}
+		isCand := nd.Kind == techmap.LLUT && observable[i] &&
+			!val[i].isConst && val[i].net == id && !val[i].neg
+		if isCand {
+			if j, ok := first[sigKey(id, false)]; ok {
+				out = append(out, Removal{Node: id, EquivTo: j, Structural: chash[id] == chash[j]})
+				continue
+			}
+			if j, ok := first[sigKey(id, true)]; ok {
+				out = append(out, Removal{Node: id, EquivTo: j, Inverted: true})
+				continue
+			}
+		}
+		if nd.Kind != techmap.LLUT || (val[i].net == id && !val[i].isConst) {
+			if _, ok := first[sigKey(id, false)]; !ok {
+				first[sigKey(id, false)] = id
+			}
+		}
+	}
+	return out
+}
+
+// randomNet builds a topological network over few inputs, so equal and
+// inverted functions (and the duplicate-signature runs the removal
+// index groups) are common.
+func randomNet(rng *rand.Rand, k int) *techmap.LUTNetwork {
+	b := newNet(k)
+	ids := []int32{0, 1}
+	for i := 0; i < 1+rng.Intn(3); i++ {
+		ids = append(ids, b.pi(fmt.Sprint("i", i)))
+	}
+	var ffs []int32
+	for i := 0; i < rng.Intn(3); i++ {
+		// The D input is patched below, once LUTs exist.
+		id := b.ff(0)
+		ffs = append(ffs, id)
+		ids = append(ids, id)
+	}
+	for i := 0; i < 4+rng.Intn(40); i++ {
+		ar := 1 + rng.Intn(k)
+		ins := make([]int32, ar)
+		for j := range ins {
+			ins[j] = ids[rng.Intn(len(ids))]
+		}
+		ids = append(ids, b.lut(rng.Uint64()&(1<<(1<<uint(ar))-1), ins...))
+	}
+	for _, ff := range ffs {
+		b.ln.Nodes[ff].In[0] = ids[rng.Intn(len(ids))]
+	}
+	for i := 0; i < 1+rng.Intn(6); i++ {
+		b.po(fmt.Sprint("o", i), ids[rng.Intn(len(ids))])
+	}
+	return b.ln
+}
+
+// TestRemovalCandidatesMatchReference compares the removal pass with
+// the reference on random networks at one, two and four signature
+// rounds (one round makes chance collisions frequent).
+func TestRemovalCandidatesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	found, inverted := 0, 0
+	for it := 0; it < 600; it++ {
+		ln := randomNet(rng, 2+rng.Intn(3))
+		if err := ln.Validate(); err != nil {
+			t.Fatalf("net %d: %v", it, err)
+		}
+		val, _, _ := infer(ln)
+		obs := markObservable(ln)
+		for _, rounds := range []int{1, 2, 4} {
+			seed := rng.Int63()
+			got := removalCandidates(ln, val, obs, rounds, seed)
+			want := removalCandidatesReference(ln, val, obs, rounds, seed)
+			if !slices.Equal(got, want) {
+				t.Fatalf("net %d, %d rounds:\n  got  %+v\n  want %+v", it, rounds, got, want)
+			}
+			found += len(got)
+			for _, r := range got {
+				if r.Inverted {
+					inverted++
+				}
+			}
+		}
+	}
+	if found == 0 || inverted == 0 {
+		t.Fatalf("random networks produced %d removals (%d inverted); the comparison is vacuous", found, inverted)
 	}
 }

@@ -206,23 +206,27 @@ func TestSelectDoesNotPoisonCandidates(t *testing.T) {
 // ~177 MHz routed in default mode.
 func TestFmaxFloorRecheckedAfterImplement(t *testing.T) {
 	b, _ := BenchmarkByName("usb_phy")
-	cfg := Cfg1()
-	cfg.SelectedOutputs = b.SelectedOutputs
-	cfg.FmaxFloorMHz = 300
-	cfg.ImplementWinner = true
-	r, err := NewEngine(WithConfig(cfg)).RunSource(context.Background(), b.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Err == nil {
-		t.Fatal("routed fabrics below the floor were accepted")
-	}
-	if !errors.Is(r.Err, ErrBelowFmaxFloor) {
-		t.Fatalf("want ErrBelowFmaxFloor from the implement stage, got: %v", r.Err)
-	}
-	var fe *FlowError
-	if !errors.As(r.Err, &fe) || fe.Stage != StageImplement {
-		t.Fatalf("want a StageImplement FlowError, got: %v", r.Err)
+	for _, par := range []int{1, 8} {
+		t.Run(fmt.Sprint("parallelism=", par), func(t *testing.T) {
+			cfg := Cfg1()
+			cfg.SelectedOutputs = b.SelectedOutputs
+			cfg.FmaxFloorMHz = 300
+			cfg.ImplementWinner = true
+			r, err := NewEngine(WithConfig(cfg), WithParallelism(par)).RunSource(context.Background(), b.Source())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Err == nil {
+				t.Fatal("routed fabrics below the floor were accepted")
+			}
+			if !errors.Is(r.Err, ErrBelowFmaxFloor) {
+				t.Fatalf("want ErrBelowFmaxFloor from the implement stage, got: %v", r.Err)
+			}
+			var fe *FlowError
+			if !errors.As(r.Err, &fe) || fe.Stage != StageImplement {
+				t.Fatalf("want a StageImplement FlowError, got: %v", r.Err)
+			}
+		})
 	}
 }
 
