@@ -55,6 +55,9 @@ func Decode(g *fabric.RRGraph, bits *Bits) (*techmap.LUTNetwork, error) {
 		return nil, fmt.Errorf("bitstream: length %d does not match fabric %s (%d)",
 			bits.N, a.Name(), Length(g))
 	}
+	if len(bits.B) < (bits.N+7)/8 {
+		return nil, fmt.Errorf("bitstream: %d bytes cannot hold %d bits", len(bits.B), bits.N)
+	}
 	c := &cursor{bits: bits}
 	d := &decoder{
 		g: g, a: a,

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -61,27 +62,66 @@ func TestRRGraphStructure(t *testing.T) {
 				}
 			}
 			for k := 0; k < a.BLEsPerCLB; k++ {
-				if len(g.Out[g.OPin(x, y, k)]) == 0 {
+				if len(g.WireOut(g.OPin(x, y, k))) == 0 {
 					t.Fatalf("OPin(%d,%d,%d) drives nothing", x, y, k)
 				}
 			}
 		}
 	}
-	// In/Out must be mutually consistent.
+	// In and the wire successors must be mutually consistent: every
+	// edge into a wire is listed as a wire successor of its driver, and
+	// every wire successor lists the driver in its In.
+	wireEdges := 0
 	for to, ins := range g.In {
+		k := g.Nodes[to].Kind
+		if k != RRHWire && k != RRVWire {
+			continue
+		}
 		for _, from := range ins {
-			found := false
-			for _, o := range g.Out[from] {
-				if int(o) == to {
-					found = true
-					break
-				}
+			if !slices.Contains(g.WireOut(from), int32(to)) {
+				t.Fatalf("edge %d->%d missing from WireOut", from, to)
 			}
-			if !found {
-				t.Fatalf("edge %d->%d missing from Out", from, to)
+			wireEdges++
+		}
+	}
+	listed := 0
+	for from := range g.Nodes {
+		for _, to := range g.WireOut(int32(from)) {
+			if !slices.Contains(g.In[to], int32(from)) {
+				t.Fatalf("wire successor %d->%d missing from In", from, to)
+			}
+			listed++
+		}
+	}
+	if listed != wireEdges {
+		t.Fatalf("WireOut lists %d edges, In has %d edges into wires", listed, wireEdges)
+	}
+}
+
+// reachable returns the nodes reachable from src: the wires through
+// WireOut, and every pin or pad driven by a reached wire.
+func reachable(g *RRGraph, src int32) map[int32]bool {
+	seen := map[int32]bool{src: true}
+	stack := []int32{src}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, nx := range g.WireOut(n) {
+			if !seen[nx] {
+				seen[nx] = true
+				stack = append(stack, nx)
 			}
 		}
 	}
+	for to, ins := range g.In {
+		for _, from := range ins {
+			if seen[from] {
+				seen[int32(to)] = true
+				break
+			}
+		}
+	}
+	return seen
 }
 
 // Property: every OPin can reach every IPin of every other CLB through
@@ -89,25 +129,10 @@ func TestRRGraphStructure(t *testing.T) {
 func TestQuickRRGraphReachability(t *testing.T) {
 	a := NewArch(3)
 	g := BuildRRGraph(a)
-	reach := func(src int32) map[int32]bool {
-		seen := map[int32]bool{src: true}
-		stack := []int32{src}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nx := range g.Out[n] {
-				if !seen[nx] {
-					seen[nx] = true
-					stack = append(stack, nx)
-				}
-			}
-		}
-		return seen
-	}
 	f := func(sx, sy, tx, ty uint8) bool {
 		x1, y1 := int(sx)%a.W, int(sy)%a.W
 		x2, y2 := int(tx)%a.W, int(ty)%a.W
-		seen := reach(g.OPin(x1, y1, 0))
+		seen := reachable(g, g.OPin(x1, y1, 0))
 		return seen[g.IPin(x2, y2, 0)]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -119,19 +144,7 @@ func TestPadReachability(t *testing.T) {
 	a := NewArch(2)
 	g := BuildRRGraph(a)
 	// Pad-in reaches pad-out across the fabric.
-	seen := map[int32]bool{}
-	stack := []int32{g.IOIn(0, 0)}
-	seen[stack[0]] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nx := range g.Out[n] {
-			if !seen[nx] {
-				seen[nx] = true
-				stack = append(stack, nx)
-			}
-		}
-	}
+	seen := reachable(g, g.IOIn(0, 0))
 	if !seen[g.IOOut(a.IOTiles()-1, a.GPIOPerTile-1)] {
 		t.Error("pad-to-pad path missing")
 	}

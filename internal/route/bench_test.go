@@ -65,19 +65,25 @@ func benchPlaced(tb testing.TB, w, gates int, seed int64) (*place.Placement, *fa
 	return pl, fabric.BuildRRGraph(arch)
 }
 
-// BenchmarkRoute measures one full PathFinder negotiation on a mid-size
-// LUT network (the inner loop of full-P&R characterization).
+// BenchmarkRoute measures one full PathFinder negotiation on a
+// mid-size LUT network (the inner loop of full-P&R characterization),
+// on an 8x8 fabric (channel width 24) and on a 20x20 fabric (channel
+// width 48, des3 cfg2's size), where wider channels multiply the
+// edges each expansion scans.
 func BenchmarkRoute(b *testing.B) {
-	pl, g := benchPlaced(b, 8, 200, 7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt, err := Route(context.Background(), pl, g, 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rt.Iterations < 1 {
-			b.Fatal("no iterations")
-		}
+	for _, c := range []struct{ w, gates int }{{8, 200}, {20, 1200}} {
+		pl, g := benchPlaced(b, c.w, c.gates, 7)
+		b.Run(g.Arch.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rt, err := Route(context.Background(), pl, g, 30)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rt.Iterations < 1 {
+					b.Fatal("no iterations")
+				}
+			}
+		})
 	}
 }

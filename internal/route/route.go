@@ -80,6 +80,7 @@ type router struct {
 	dist    []float32 // per node: tentative cost (valid if gen matches)
 	from    []int32   // per node: Dijkstra predecessor (valid if gen matches)
 	gen     []uint32  // per node: generation stamp for dist/from
+	feeds   []uint32  // per node: generation stamp marking a driver of the target
 	curGen  uint32    // current Dijkstra generation
 	inTree  []uint32  // per node: stamp marking current net's tree
 	treeGen uint32    // current net-tree generation
@@ -99,6 +100,7 @@ func newRouter(g *fabric.RRGraph) *router {
 		dist:   make([]float32, n),
 		from:   make([]int32, n),
 		gen:    make([]uint32, n),
+		feeds:  make([]uint32, n),
 		inTree: make([]uint32, n),
 		xs:     make([]int16, n),
 		ys:     make([]int16, n),
@@ -298,8 +300,11 @@ func (rt *router) dijkstra(used []int32, source, target int32, presFac, crit flo
 	for _, nd := range used {
 		seed(nd)
 	}
+	// The target is reached from the wires that drive it: stamp them.
 	g := rt.g
-	nodes := g.Nodes
+	for _, w := range g.In[target] {
+		rt.feeds[w] = gen
+	}
 	for len(q) > 0 {
 		var it heapItem
 		q, it = q.pop()
@@ -322,35 +327,37 @@ func (rt *router) dijkstra(used []int32, source, target int32, presFac, crit flo
 			rt.path = rev
 			return rev, nil
 		}
-		for _, nx := range g.Out[it.node] {
-			// Only wires may fan out further; pins and pads terminate.
-			k := nodes[nx].Kind
-			if k == fabric.RROPin || k == fabric.RRIOIn {
+		// Only wires fan out further; of the pins, only the target is
+		// admitted, and it is relaxed after the wires, where its id
+		// placed it in the full successor order.
+		for _, nx := range g.WireOut(it.node) {
+			if x := rt.xs[nx]; x < minX || x > maxX {
 				continue
 			}
-			if (k == fabric.RRIPin || k == fabric.RRIOOut) && nx != target {
+			if y := rt.ys[nx]; y < minY || y > maxY {
 				continue
 			}
-			if nx != target {
-				if x := rt.xs[nx]; x < minX || x > maxX {
-					continue
-				}
-				if y := rt.ys[nx]; y < minY || y > maxY {
-					continue
-				}
-			}
-			nc := it.cost + rt.nodeCost(nx, presFac, crit)
-			if rt.gen[nx] == gen && nc >= rt.dist[nx] {
-				continue
-			}
-			rt.dist[nx] = nc
-			rt.from[nx] = it.node
-			rt.gen[nx] = gen
-			q = q.push(heapItem{node: nx, cost: nc})
+			q = rt.relax(q, nx, it, presFac, crit, gen)
+		}
+		if rt.feeds[it.node] == gen {
+			q = rt.relax(q, target, it, presFac, crit, gen)
 		}
 	}
 	rt.heap = q
 	return nil, fmt.Errorf("no path")
+}
+
+// relax offers node nx a path through the popped entry it, pushing nx
+// when that path is cheaper than its current one.
+func (rt *router) relax(q rtHeap, nx int32, it heapItem, presFac, crit float32, gen uint32) rtHeap {
+	nc := it.cost + rt.nodeCost(nx, presFac, crit)
+	if rt.gen[nx] == gen && nc >= rt.dist[nx] {
+		return q
+	}
+	rt.dist[nx] = nc
+	rt.from[nx] = it.node
+	rt.gen[nx] = gen
+	return q.push(heapItem{node: nx, cost: nc})
 }
 
 // heapItem is one priority-queue entry.
